@@ -192,6 +192,7 @@ class LintConfig:
         "_push_pass_mixed",
         "_apply_dump",
         "_file_dump_report",
+        "run_waves",
     )
 
     # FLW013 — transitive picklability: recursion bound when chasing

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 
@@ -88,18 +88,27 @@ class NetworkModel:
         """A copy of this model with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
 
-    def sample_latency(self, rng) -> float:
-        """Draw one message's latency (no RNG draw for fixed latency)."""
+    def latency_sampler(self, rng) -> Callable[[], float]:
+        """A zero-argument draw of one message's latency from ``rng``.
+
+        Resolves the latency kind once, so a send loop can draw per
+        message without re-dispatching on it.  Each call makes one
+        draw, or none for fixed latency and zero-mean exponential.
+        """
         if self.latency_kind == "fixed":
-            return self.latency_mean
+            latency = self.latency_mean
+            return lambda: latency
         if self.latency_kind == "uniform":
             low = max(0.0, self.latency_mean - self.latency_jitter)
             high = self.latency_mean + self.latency_jitter
-            return float(rng.uniform(low, high))
+            uniform = rng.uniform
+            return lambda: float(uniform(low, high))
         # exponential; zero mean degenerates to instant delivery
-        if self.latency_mean == 0.0:
-            return 0.0
-        return float(rng.exponential(self.latency_mean))
+        mean = self.latency_mean
+        if mean == 0.0:
+            return lambda: 0.0
+        exponential = rng.exponential
+        return lambda: float(exponential(mean))
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON representation (canonical cache/spec form)."""

@@ -7,8 +7,12 @@ now the network scenario (latency, loss, churn).  This module splits
 them:
 
 * :class:`ExecutionConfig` — *how* to run: backend, memory, shards,
-  jobs.  Never changes results (pinned by the parity suites), so its
-  cache fingerprint is empty — switching backends serves cached cells.
+  jobs.  Backend, memory placement, shard count and jobs never change
+  results (pinned by the parity suites), but ``shards`` also picks the
+  partner schedule — the classic one for 0, four-node cells for 1 or
+  more — and the two schedules give different results.  So the cache
+  fingerprint holds only that derived pairing: switching backends
+  serves cached cells, switching pairings does not.
 * :class:`Scenario` — *what* to simulate: the protocol
   :class:`GossipConfig`, the :class:`~repro.bargossip.network.
   NetworkModel`, the schedule mode, and the attack.
@@ -45,12 +49,16 @@ SCHEDULES = ("rounds", "event")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a simulation executes — never what it computes.
+    """How a simulation executes — and, through ``shards``, its pairing.
 
-    Every combination produces bit-identical traces for the same seed
-    (pinned by the backend-, shard- and schedule-parity suites), which
-    is why :meth:`cache_fingerprint` is empty: cached results are
-    served across execution strategies.
+    For one partner schedule every combination produces bit-identical
+    traces for the same seed (pinned by the backend-, shard- and
+    schedule-parity suites), so cached results are served across
+    backends, memory placements, shard counts and job counts.  The
+    exception is the partner schedule itself: ``shards=0`` runs the
+    paper's classic pairing and ``shards >= 1`` the four-node cells,
+    which deliver measurably differently.  :meth:`cache_fingerprint`
+    therefore carries the derived :attr:`pairing` and nothing else.
     """
 
     #: Update-store implementation.  ``"sets"`` keeps per-node Python
@@ -98,9 +106,14 @@ class ExecutionConfig:
             )
         return cls(**payload)
 
+    @property
+    def pairing(self) -> str:
+        """The partner schedule ``shards`` selects: classic or cells."""
+        return "cells" if self.shards else "classic"
+
     def cache_fingerprint(self) -> Dict[str, Any]:
-        """Empty by design: execution strategy never changes results."""
-        return {}
+        """The pairing only: nothing else here changes results."""
+        return {"pairing": self.pairing}
 
     def __post_init__(self) -> None:
         if self.backend not in ("sets", "bitset", "words"):
@@ -246,8 +259,9 @@ def run_experiment(
     simulate ``scenario.rounds`` rounds under ``scenario.network`` on
     ``scenario.schedule``, and report the per-group delivery fractions
     over the measured window (plus the virtual-time delivery metrics
-    on the event schedule).  ``execution`` only decides *how* the run
-    executes; results never depend on it.
+    on the event schedule).  ``execution`` decides *how* the run
+    executes; of its fields only the partner schedule that ``shards``
+    selects changes results (see :class:`ExecutionConfig`).
     """
     from .node import TargetGroup
     from .simulator import GossipExperimentResult, GossipSimulator

@@ -41,6 +41,8 @@ from .attacker import DEFAULT_SATIATE_FRACTION, AttackKind, AttackerCoalition
 from .config import GossipConfig
 from .defenses import EvictionAuthority, ReportingPolicy
 from .events import (
+    EXCHANGE,
+    PUSH,
     EventQueue,
     ExchangeDeliver,
     ExchangeSend,
@@ -94,6 +96,8 @@ from .updates import (
 
 __all__ = [
     "InteractionEngine",
+    "dependency_waves",
+    "interaction_sequence",
     "GossipSimulator",
     "GossipExperimentResult",
     "run_gossip_experiment",
@@ -111,12 +115,86 @@ CI_PUSHES_INITIATED = COUNTER_INDEX["pushes_initiated"]
 CI_PUSHES_NONEMPTY = COUNTER_INDEX["pushes_nonempty"]
 
 
+def interaction_sequence(order, exchange_partners, push_partners):
+    """One round's directed interactions, in the classic schedule's order.
+
+    Every initiator of ``order`` exchanges with its exchange partner,
+    then every initiator of ``order`` pushes to its push partner;
+    self-partner entries (unpaired nodes) are dropped.  Returns
+    ``(kinds, initiators, partners)`` arrays, kinds being
+    :data:`~repro.bargossip.events.EXCHANGE` or
+    :data:`~repro.bargossip.events.PUSH`.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    kinds, initiators, partners = [], [], []
+    for kind, table in ((EXCHANGE, exchange_partners), (PUSH, push_partners)):
+        partner = np.asarray(table, dtype=np.intp)[order]
+        paired = partner != order
+        initiators.append(order[paired])
+        partners.append(partner[paired])
+        kinds.append(np.full(int(paired.sum()), kind, dtype=np.int8))
+    return (
+        np.concatenate(kinds),
+        np.concatenate(initiators),
+        np.concatenate(partners),
+    )
+
+
+def _single(kind: int, event):
+    """One interaction event as ``(kinds, initiators, partners)`` arrays."""
+    return (
+        np.array([kind], dtype=np.int8),
+        np.array([event.initiator], dtype=np.intp),
+        np.array([event.partner], dtype=np.intp),
+    )
+
+
+def dependency_waves(left, right, n_nodes: int) -> "np.ndarray":
+    """Wave number of each interaction of an ordered sequence.
+
+    Interaction ``k`` touches nodes ``left[k]`` and ``right[k]`` (two
+    distinct nodes below ``n_nodes``).  Its wave is one more than the
+    highest wave of any earlier interaction sharing a node with it, so
+    the waves are node-disjoint and running them in increasing order
+    replays the sequence exactly: every node still sees its own
+    interactions in sequence order, and interactions that share no
+    node commute.
+
+    Computed by peeling rather than by a Python loop over the
+    sequence: an interaction joins the current wave when it is the
+    earliest remaining one at both of its endpoints, which one
+    ``np.minimum.at`` per endpoint column finds for the whole sequence
+    at once.  That earliest-remaining rule numbers each interaction by
+    its longest chain of predecessors — the same numbering as the
+    greedy loop, one peel per wave.
+    """
+    left = np.asarray(left, dtype=np.intp)
+    right = np.asarray(right, dtype=np.intp)
+    count = len(left)
+    waves = np.zeros(count, dtype=np.int64)
+    first = np.full(n_nodes, count, dtype=np.intp)
+    remaining = np.arange(count, dtype=np.intp)
+    wave = 0
+    while len(remaining):
+        wave += 1
+        a, b = left[remaining], right[remaining]
+        np.minimum.at(first, a, remaining)
+        np.minimum.at(first, b, remaining)
+        ready = (first[a] == remaining) & (first[b] == remaining)
+        waves[remaining[ready]] = wave
+        first[a] = count
+        first[b] = count
+        remaining = remaining[~ready]
+    return waves
+
+
 class InteractionEngine:
     """The exchange and push phases over one population slice.
 
     Owns no round structure of its own: callers hand it an initiation
-    order and a partner assignment, and it applies the interactions to
-    the node slice it was built over.  The classic simulator builds one
+    order and a partner assignment (or, on the words backend, one
+    ordered interaction sequence for :meth:`run_waves`), and it applies
+    the interactions to the node slice it was built over.  The classic simulator builds one
     engine over the full population (pool row index == node id); the
     sharded executor builds one per shard over shard-local state (see
     :mod:`repro.bargossip.sharding`) — reorganizing who *owns* the
@@ -318,6 +396,76 @@ class InteractionEngine:
             return None
         return self.pool.mask_words(mask)
 
+    def round_context(self):
+        """What the masked dump sweeps read, fixed for a whole round.
+
+        ``(pool_words, satiated_rows)``: the coalition's pooled-have row
+        (None when it cannot dump) and the satiated-target row mask.
+        Both change only at round boundaries — the pool at broadcast
+        and expiry, the targets at rotation — so one build serves
+        every wave of the round.
+        """
+        pool_words = self._attack_pool_words()
+        satiated = self._satiated_row_mask() if pool_words is not None else None
+        return pool_words, satiated
+
+    def run_waves(
+        self, round_now: int, kinds, initiators, partners, context=None
+    ) -> None:
+        """Apply an ordered sequence of directed interactions, as waves.
+
+        ``kinds[k]`` is :data:`~repro.bargossip.events.EXCHANGE` or
+        :data:`~repro.bargossip.events.PUSH`; interaction ``k`` is
+        initiated by ``initiators[k]`` towards ``partners[k]`` (node
+        ids, distinct per interaction).  The result equals applying
+        the interactions one by one in sequence order through
+        ``_exchange_directed`` / ``_push_directed``:
+        :func:`dependency_waves` splits the sequence into node-disjoint
+        waves, and each wave's exchanges and pushes run through the
+        same clean and mixed word sweeps as the cell schedule.  Clean
+        means both endpoints are correct and live; every other
+        interaction takes the masked dump/eviction sweeps.  An
+        eviction needs no barrier: only attacker givers are evicted,
+        and every later interaction reading that flag shares the
+        evicted node, so it sits in a later wave.
+
+        ``context`` is :meth:`round_context`, built here when not
+        given.  Requires the words backend and a population.
+        """
+        if not len(initiators):
+            return
+        rows_i = self._rows_of_ids(np.asarray(initiators, dtype=np.intp))
+        rows_r = self._rows_of_ids(np.asarray(partners, dtype=np.intp))
+        population = self.population
+        waves = dependency_waves(rows_i, rows_r, len(population.evicted))
+        # Attackers are the only nodes ever evicted, so the clean/mixed
+        # split is fixed for the whole sequence.
+        special = population.byzantine_mask | population.evicted
+        mixed = special[rows_i] | special[rows_r]
+        # One group per (wave, class); class 0/1 = clean/mixed
+        # exchange, 2/3 = clean/mixed push.
+        key = 4 * waves + 2 * (np.asarray(kinds) == PUSH) + mixed
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        classes = (key[starts] % 4).tolist()
+        pool_words, satiated = context if context is not None else self.round_context()
+        obedient = population.obedient_mask
+        for group, cls in zip(np.split(order, starts[1:]), classes):
+            rows_gi, rows_gr = rows_i[group], rows_r[group]
+            if cls == 0:
+                self._exchange_apply_clean(rows_gi, rows_gr)
+            elif cls == 1:
+                self._exchange_pass_mixed(
+                    round_now, rows_gi, rows_gr, pool_words, satiated
+                )
+            elif cls == 2:
+                self._push_pass_batched(round_now, rows_gi, rows_gr, obedient)
+            else:
+                self._push_pass_mixed(
+                    round_now, rows_gi, rows_gr, pool_words, obedient, satiated
+                )
+
     def run_exchanges_batched(self, round_now: int, pairs) -> None:
         """One balanced-exchange phase over disjoint cell pairs, batched.
 
@@ -335,20 +483,12 @@ class InteractionEngine:
         if len(pairs) == 0:
             return
         clean_rows, mixed_rows = self._split_cell_pairs(pairs)
-        counters = self.population.counters
         for block in self._pair_chunks(clean_rows):
             left, right = block[:, 0], block[:, 1]
             for rows_i, rows_r in ((left, right), (right, left)):
-                # Rows are pairwise disjoint within a pass, so
-                # fancy-index += is an exact scatter-add (no np.add.at
-                # needed).
-                counters[rows_i, CI_EXCHANGES_INITIATED] += 1
                 self._exchange_apply_clean(rows_i, rows_r)
         if len(mixed_rows):
-            pool_words = self._attack_pool_words()
-            satiated = (
-                self._satiated_row_mask() if pool_words is not None else None
-            )
+            pool_words, satiated = self.round_context()
             left, right = mixed_rows[:, 0], mixed_rows[:, 1]
             for rows_i, rows_r in ((left, right), (right, left)):
                 self._exchange_pass_mixed(
@@ -356,7 +496,13 @@ class InteractionEngine:
                 )
 
     def _exchange_apply_clean(self, rows_i, rows_r) -> None:
-        """Apply one direction's correct-correct exchanges (no booking)."""
+        """Book and apply one direction's correct-correct exchanges.
+
+        Rows are pairwise disjoint within a pass, so fancy-index ``+=``
+        is an exact scatter-add (no ``np.add.at`` needed).
+        """
+        counters = self.population.counters
+        counters[rows_i, CI_EXCHANGES_INITIATED] += 1
         config = self.config
         to_initiator, to_partner = batched_word_exchange(
             self.pool,
@@ -369,7 +515,6 @@ class InteractionEngine:
         moved = (to_initiator > 0) | (to_partner > 0)
         if not moved.any():
             return
-        counters = self.population.counters
         rows_i, rows_r = rows_i[moved], rows_r[moved]
         gained, given = to_initiator[moved], to_partner[moved]
         counters[rows_i, CI_UPDATES_SENT] += given
@@ -676,10 +821,7 @@ class InteractionEngine:
             for rows_i, rows_r in ((left, right), (right, left)):
                 self._push_pass_batched(round_now, rows_i, rows_r, obedient)
         if len(mixed_rows):
-            pool_words = self._attack_pool_words()
-            satiated = (
-                self._satiated_row_mask() if pool_words is not None else None
-            )
+            pool_words, satiated = self.round_context()
             left, right = mixed_rows[:, 0], mixed_rows[:, 1]
             for rows_i, rows_r in ((left, right), (right, left)):
                 self._push_pass_mixed(
@@ -867,7 +1009,9 @@ class GossipSimulator(RoundSimulator):
         where the shard slices execute.
     execution:
         The :class:`~repro.bargossip.scenario.ExecutionConfig` deciding
-        backend, memory placement and sharding.  Never changes results.
+        backend, memory placement and sharding.  Only the partner
+        schedule ``shards`` selects (classic for 0, cells for 1 or
+        more) changes results.
     network:
         The :class:`~repro.bargossip.network.NetworkModel` between the
         nodes; a non-ideal model requires ``schedule="event"``.
@@ -1060,6 +1204,9 @@ class GossipSimulator(RoundSimulator):
             self._leave_armed = False
             self._join_armed = False
             self._event_round = 0
+            #: The words engine's :meth:`InteractionEngine.round_context`
+            #: for the round being drained; None on the per-pair backends.
+            self._wave_context = None
             self._handlers = {
                 ExchangeSend: self._on_exchange_send,
                 ExchangeDeliver: self._on_exchange_deliver,
@@ -1243,19 +1390,24 @@ class GossipSimulator(RoundSimulator):
         if self.execution.shards:
             self._step_sharded(round_now)
         else:
-            order = [
-                int(i) for i in self._order_rng.permutation(self.config.n_nodes)
-            ]
-            self._engine.run_exchanges(
-                round_now,
-                order,
-                self._partners.partners_for_round(round_now, Purpose.EXCHANGE),
+            order = self._order_rng.permutation(self.config.n_nodes)
+            exchange_partners = self._partners.partners_for_round(
+                round_now, Purpose.EXCHANGE
             )
-            self._engine.run_pushes(
-                round_now,
-                order,
-                self._partners.partners_for_round(round_now, Purpose.PUSH),
+            push_partners = self._partners.partners_for_round(
+                round_now, Purpose.PUSH
             )
+            if isinstance(self._pool, WordPopulationStore):
+                # The whole round as one sequence — exchanges in
+                # permutation order, then pushes — run as waves.
+                self._engine.run_waves(
+                    round_now,
+                    *interaction_sequence(order, exchange_partners, push_partners),
+                )
+            else:
+                order = order.tolist()
+                self._engine.run_exchanges(round_now, order, exchange_partners)
+                self._engine.run_pushes(round_now, order, push_partners)
         self._expire(round_now)
         self._round += 1
 
@@ -1448,11 +1600,13 @@ class GossipSimulator(RoundSimulator):
         at the round boundary exactly as in the classic schedule, and
         the initiation order and partner assignments are drawn from the
         *same* streams — the event layer only decides when (and
-        whether) each interaction's delivery happens.  All sends are
-        enqueued at the round-start time; with zero latency every
-        delivery lands at the same timestamp and the queue's insertion
-        order replays the classic order bit-exact.  Deliveries delayed
-        past the round boundary stay queued and apply next round.
+        whether) each interaction's delivery happens.  Every message is
+        sent at the round-start time (:meth:`_transmit`); deliveries
+        due before the round ends are drained in ``(time, seq)`` order
+        (:meth:`_drain`), and later ones stay in the queue's delivery
+        lane for the next round.  With zero latency every delivery
+        lands at the round start and sequence order replays the classic
+        order bit-exact.
         """
         round_now = self._round
         network = self.network
@@ -1469,27 +1623,24 @@ class GossipSimulator(RoundSimulator):
         self._reach.release(measured, t_start)
         self._attack_out_of_band()
         self._arm_churn(t_start)
-        order = [
-            int(i) for i in self._order_rng.permutation(self.config.n_nodes)
-        ]
+        order = self._order_rng.permutation(self.config.n_nodes)
         exchange_partners = self._partners.partners_for_round(
             round_now, Purpose.EXCHANGE
         )
         push_partners = self._partners.partners_for_round(round_now, Purpose.PUSH)
-        events = self._events
-        for initiator_id in order:
-            partner_id = int(exchange_partners[initiator_id])
-            if partner_id != initiator_id:  # self-partner: unpaired
-                events.push(t_start, ExchangeSend(initiator_id, partner_id))
-        for initiator_id in order:
-            partner_id = int(push_partners[initiator_id])
-            if partner_id != initiator_id:
-                events.push(t_start, PushSend(initiator_id, partner_id))
-        handlers = self._handlers
         self._event_round = round_now
-        while events and events.peek_time() < t_end:
-            time_now, event = events.pop()
-            handlers[type(event)](time_now, event)
+        self._wave_context = (
+            self._engine.round_context()
+            if isinstance(self._pool, WordPopulationStore)
+            else None
+        )
+        # Whatever was already due at the round start goes first: it
+        # was queued before this round's sends.
+        self._drain(float(np.nextafter(t_start, np.inf)))
+        self._transmit(
+            t_start, *interaction_sequence(order, exchange_partners, push_partners)
+        )
+        self._drain(t_end)
         self._sample_delivery_times(t_end)
         self._expire(round_now)
         # An update created at round c is live through round
@@ -1506,71 +1657,132 @@ class GossipSimulator(RoundSimulator):
                 <= round_now
             ]
         )
-        self.network_stats.in_flight_at_end = len(events)
+        self.network_stats.in_flight_at_end = len(self._events)
         self._round += 1
 
-    def _transmit(
-        self, time_now: float, initiator_id: int, partner_id: int, deliver_cls
-    ) -> None:
-        """Hand one message to the network: loss, then latency."""
-        if self._departed[initiator_id]:
-            return  # left before acting; nothing reaches the wire
+    def _transmit(self, time_now: float, kinds, initiators, partners) -> None:
+        """Hand messages to the network, in order: loss, then latency.
+
+        A departed initiator sends nothing.  Per message, the loss draw
+        comes first and the latency draw only for a message that
+        survived it (``loss_rate == 0`` draws nothing), so the network
+        stream is consumed exactly as one message at a time would; the
+        survivors enter the queue's delivery lane.
+        """
+        sending = ~self._departed[initiators]
+        kinds, initiators, partners = (
+            kinds[sending], initiators[sending], partners[sending]
+        )
         network = self.network
         stats = self.network_stats
-        stats.messages_sent += 1
-        # rng.random() is in [0, 1), so loss_rate=1.0 drops every
-        # message and loss_rate=0.0 (guarded: no draw) drops none.
-        if network.loss_rate > 0.0 and self._net_rng.random() < network.loss_rate:
-            stats.messages_lost += 1
-            return
-        self._events.push(
-            time_now + network.sample_latency(self._net_rng),
-            deliver_cls(initiator_id, partner_id),
+        stats.messages_sent += len(initiators)
+        latency = network.latency_sampler(self._net_rng)
+        loss_rate = network.loss_rate
+        lose = self._net_rng.random if loss_rate > 0.0 else None
+        kept = np.ones(len(initiators), dtype=bool)
+        latencies = np.zeros(len(initiators), dtype=np.float64)
+        for k in range(len(initiators)):
+            # rng.random() is in [0, 1), so loss_rate=1.0 drops every
+            # message and loss_rate=0.0 (guarded: no draw) drops none.
+            if lose is not None and lose() < loss_rate:
+                kept[k] = False
+            else:
+                latencies[k] = latency()
+        stats.messages_lost += int(len(kept) - kept.sum())
+        self._events.push_deliveries(
+            time_now + latencies[kept],
+            kinds[kept],
+            initiators[kept],
+            partners[kept],
         )
 
-    def _on_exchange_send(self, time_now: float, event: ExchangeSend) -> None:
-        self._transmit(time_now, event.initiator, event.partner, ExchangeDeliver)
+    def _drain(self, t_stop: float) -> None:
+        """Process every queued event due before ``t_stop``, in order.
 
-    def _on_push_send(self, time_now: float, event: PushSend) -> None:
-        self._transmit(time_now, event.initiator, event.partner, PushDeliver)
+        Churn events (:class:`NodeLeave`, :class:`NodeJoin`) are the only
+        barriers: they flip ``_departed`` and a join re-seeds the
+        joiner.  Between two barriers the deliveries leave the lane as
+        one block (:meth:`_deliver`).  A partner timeout only reads
+        ``_departed`` and bumps a statistic, so it commutes with
+        deliveries and is handled as soon as it heads the heap.
+        """
+        events = self._events
+        handlers = self._handlers
+        while True:
+            head = events.peek()
+            if head is None or head[0] >= t_stop:
+                block = events.take_deliveries(t_stop)
+                if block is None:
+                    return
+                self._deliver(*block)
+                continue
+            time_now, seq, event = head
+            if type(event) is not PartnerTimeout:
+                block = events.take_deliveries(time_now, seq)
+                if block is not None:
+                    self._deliver(*block)
+                    continue
+            time_now, event = events.pop()
+            handlers[type(event)](time_now, event)
 
-    def _on_exchange_deliver(
-        self, time_now: float, event: ExchangeDeliver
-    ) -> None:
-        if not self._deliverable(time_now, event):
-            return
-        self._engine._exchange_directed(
-            self._event_round, event.initiator, event.partner
-        )
-
-    def _on_push_deliver(self, time_now: float, event: PushDeliver) -> None:
-        if not self._deliverable(time_now, event):
-            return
-        self._engine._push_directed(
-            self._event_round, event.initiator, event.partner
-        )
-
-    def _deliverable(self, time_now: float, event) -> bool:
-        """Churn check at delivery time.
+    def _deliver(self, times, kinds, initiators, partners) -> None:
+        """Apply a block of deliveries that no barrier separates.
 
         A delivery to a departed partner starts the initiator's
         liveness timer (the initiator observes silence, it cannot
         *know* the partner left); a departed initiator aborts the
         interaction outright.  Neither books service counters — no
-        interaction happened.
+        interaction happened.  ``_departed`` is constant within the
+        block, so one masked check covers it; the rest apply in block
+        order, as waves on the words backend and one by one otherwise.
         """
+        departed = self._departed
+        to_departed = departed[partners]
+        aborted = departed[initiators] & ~to_departed
         stats = self.network_stats
-        if self._departed[event.partner]:
-            stats.messages_to_departed += 1
-            self._events.push(
-                time_now + self.network.liveness_timeout,
-                PartnerTimeout(event.initiator, event.partner),
+        if to_departed.any():
+            stats.messages_to_departed += int(to_departed.sum())
+            timeout = self.network.liveness_timeout
+            for k in np.flatnonzero(to_departed).tolist():
+                self._events.push(
+                    float(times[k]) + timeout,
+                    PartnerTimeout(int(initiators[k]), int(partners[k])),
+                )
+        stats.aborted_by_churn += int(aborted.sum())
+        live = ~(to_departed | aborted)
+        kinds, initiators, partners = kinds[live], initiators[live], partners[live]
+        round_now = self._event_round
+        if self._wave_context is not None:
+            self._engine.run_waves(
+                round_now, kinds, initiators, partners, self._wave_context
             )
-            return False
-        if self._departed[event.initiator]:
-            stats.aborted_by_churn += 1
-            return False
-        return True
+            return
+        engine = self._engine
+        for kind, initiator, partner in zip(
+            kinds.tolist(), initiators.tolist(), partners.tolist()
+        ):
+            if kind == EXCHANGE:
+                engine._exchange_directed(round_now, initiator, partner)
+            else:
+                engine._push_directed(round_now, initiator, partner)
+
+    # One message as a block of one: the round loop never queues send
+    # or deliver events, but a caller scheduling one on the heap gets
+    # the same handling as a block.
+
+    def _on_exchange_send(self, time_now: float, event: ExchangeSend) -> None:
+        self._transmit(time_now, *_single(EXCHANGE, event))
+
+    def _on_push_send(self, time_now: float, event: PushSend) -> None:
+        self._transmit(time_now, *_single(PUSH, event))
+
+    def _on_exchange_deliver(
+        self, time_now: float, event: ExchangeDeliver
+    ) -> None:
+        self._deliver(np.array([time_now]), *_single(EXCHANGE, event))
+
+    def _on_push_deliver(self, time_now: float, event: PushDeliver) -> None:
+        self._deliver(np.array([time_now]), *_single(PUSH, event))
 
     def _on_partner_timeout(
         self, time_now: float, event: PartnerTimeout
@@ -1674,8 +1886,14 @@ class GossipSimulator(RoundSimulator):
         if total == 0:
             return
         needed = reach.threshold * total
-        if self._pool is not None:
-            pool = self._pool
+        pool = self._pool
+        if isinstance(pool, WordPopulationStore):
+            pending = list(reach.pending)
+            held = pool.holder_counts(pending, alive)
+            for update, count in zip(pending, held.tolist()):
+                if count >= needed:
+                    reach.mark_reached(update, time_now)
+        elif pool is not None:
             for update in list(reach.pending):
                 held_counts = pool.masked_have_popcounts(pool.mask_of([update]))
                 if int(held_counts[alive].sum()) >= needed:

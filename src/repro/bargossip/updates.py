@@ -41,7 +41,7 @@ from __future__ import annotations
 import atexit
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -984,6 +984,26 @@ class WordPopulationStore:
     def masked_have_popcounts(self, mask: int) -> "np.ndarray":
         """Per-node count of held updates under ``mask`` (expiry scoring)."""
         return word_popcounts(self.have_words & self.mask_words(mask))
+
+    def holder_counts(self, updates: Sequence[int], rows) -> "np.ndarray":
+        """Per-update count of the selected rows holding it.
+
+        ``rows`` selects rows (a boolean mask or an index array).  One
+        pass per word column unpacks the selected rows' bits and sums
+        them per bit position, replacing a full-population popcount per
+        update; the temporaries stay one word column wide.
+        """
+        cols = np.fromiter(
+            (self.col_of(update) + self.offset for update in updates),
+            dtype=np.int64,
+            count=len(updates),
+        )
+        held = np.zeros(self.words_per_row * WORD_BITS, dtype=np.int64)
+        for word in np.unique(cols // WORD_BITS).tolist():
+            octets = self.have_words[:, word][rows].reshape(-1, 1).view(np.uint8)
+            bits = np.unpackbits(octets, axis=1, bitorder="little")
+            held[word * WORD_BITS : (word + 1) * WORD_BITS] = bits.sum(axis=0)
+        return held[cols]
 
     def memory_breakdown(self) -> Dict[str, int]:
         """Exact flat-buffer bytes, split by role.

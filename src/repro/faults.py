@@ -22,9 +22,9 @@ Design constraints:
   respawned worker — the retry that recovers from an injected crash
   runs clean instead of re-triggering it.
 * **Results-invisible.**  A plan is deliberately excluded from cache
-  fingerprints (:meth:`FaultPlan.cache_fingerprint` is empty, like
-  ``ExecutionConfig``): fault injection changes how cells *execute*,
-  never what they compute — the chaos parity pins are the proof.
+  fingerprints (:meth:`FaultPlan.cache_fingerprint` is empty): fault
+  injection changes how cells *execute*, never what they compute —
+  the chaos parity pins are the proof.
 
 The registered sites (checked statically by lotus-lint rule FLW014):
 

@@ -57,8 +57,11 @@ _KEY_BYTES = 16
 #: Scenario API redesign keys sweep cells by Scenario.to_dict() (config
 #: + network + schedule + attack) instead of a flat GossipConfig dict
 #: that still carried execution fields — same physics, incompatible
-#: fingerprint shape.
-CACHE_SCHEMA_VERSION = 4
+#: fingerprint shape; 5 = ExecutionConfig's fingerprint names the
+#: partner schedule (classic for shards=0, cells for shards>=1): under
+#: schema 4 both schedules shared one key, so a cell cached under
+#: either may hold the other schedule's result.
+CACHE_SCHEMA_VERSION = 5
 
 #: Stamped into every record and checked on read.  Identifies the
 #: simulator code generation that produced the value: bump it to bulk-

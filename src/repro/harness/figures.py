@@ -65,7 +65,8 @@ def attack_curve(
 
     ``network``/``schedule`` replay the same attack sweep against an
     asynchronous network (latency, loss, churn) on the event engine;
-    ``execution`` decides only how cells run and never changes results.
+    ``execution`` decides how cells run; only the partner schedule its
+    ``shards`` selects changes results.
     """
     scenario = Scenario(
         config=config,

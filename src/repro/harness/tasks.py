@@ -65,9 +65,10 @@ class GossipSweepTask:
     transparently invalidates cached cells.  The grid value is the
     attacker fraction: each cell runs ``scenario.replace(
     attacker_fraction=x)`` through :func:`~repro.bargossip.scenario.
-    run_experiment`.  ``execution`` decides only *how* cells run and
-    is deliberately absent from the fingerprint (execution strategy
-    never changes results — pinned by the parity suites).
+    run_experiment`.  ``execution`` decides *how* cells run and enters
+    the fingerprint only through its partner schedule
+    (:meth:`~repro.bargossip.scenario.ExecutionConfig.cache_fingerprint`):
+    the rest of it never changes results — pinned by the parity suites.
     """
 
     scenario: Scenario

@@ -421,16 +421,16 @@ class TestSeededMutations:
     def test_flw011_net_rng_routed_into_exchange(self, tree_sources):
         sim = tree_sources["src/repro/bargossip/simulator.py"]
         match = re.search(
-            r"self\._engine\._exchange_directed\(\s*"
-            r"self\._event_round, event\.initiator, event\.partner\s*\)",
+            r"self\._engine\.run_waves\(\s*"
+            r"round_now, kinds, initiators, partners, self\._wave_context\s*\)",
             sim,
         )
-        assert match, "expected _exchange_directed delivery call site"
+        assert match, "expected the run_waves delivery call site"
         mutated = dict(tree_sources)
         mutated["src/repro/bargossip/simulator.py"] = (
             sim[: match.start()]
-            + "self._engine._exchange_directed("
-            "self._event_round, int(self._net_rng.integers(2)), event.partner)"
+            + "self._engine.run_waves(round_now, kinds, initiators, "
+            "self._net_rng.integers(2, size=len(partners)), self._wave_context)"
             + sim[match.end() :]
         )
         fired = tree_findings(mutated)

@@ -11,9 +11,12 @@ import pytest
 
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.events import (
+    EXCHANGE,
+    PUSH,
     EventQueue,
     ExchangeDeliver,
     ExchangeSend,
+    NodeLeave,
     PartnerTimeout,
     PushSend,
 )
@@ -77,6 +80,50 @@ class TestEventQueueDeterminism:
             EventQueue().pop()
 
 
+class TestDeliveryLane:
+    """The columnar lane beside the heap: one seq counter, sorted takes."""
+
+    def test_take_orders_by_time_then_insertion(self):
+        queue = EventQueue()
+        queue.push_deliveries(
+            [1.0, 0.5, 1.0], [EXCHANGE, PUSH, PUSH], [0, 2, 4], [1, 3, 5]
+        )
+        queue.push_deliveries([0.5], [EXCHANGE], [6], [7])
+        times, kinds, initiators, partners = queue.take_deliveries(2.0)
+        assert times.tolist() == [0.5, 0.5, 1.0, 1.0]
+        assert initiators.tolist() == [2, 6, 0, 4]
+        assert kinds.tolist() == [PUSH, EXCHANGE, EXCHANGE, PUSH]
+        assert partners.tolist() == [3, 7, 1, 5]
+        assert not queue
+
+    def test_take_stops_before_a_heap_event_at_the_same_time(self):
+        queue = EventQueue()
+        queue.push_deliveries([1.0, 1.0], [EXCHANGE, EXCHANGE], [0, 2], [1, 3])
+        queue.push(1.0, NodeLeave())
+        queue.push_deliveries([1.0], [PUSH], [4], [5])
+        time, seq, event = queue.peek()
+        assert (time, event) == (1.0, NodeLeave())
+        before = queue.take_deliveries(time, seq)
+        assert before[2].tolist() == [0, 2]
+        assert queue.take_deliveries(time, seq) is None
+        assert queue.pop() == (1.0, NodeLeave())
+        assert queue.take_deliveries(2.0)[2].tolist() == [4]
+
+    def test_take_leaves_later_deliveries_queued(self):
+        queue = EventQueue()
+        queue.push_deliveries([0.2, 1.5], [EXCHANGE, PUSH], [0, 2], [1, 3])
+        assert queue.take_deliveries(1.0)[0].tolist() == [0.2]
+        assert len(queue) == 1  # in flight: counted with the heap
+        assert queue.take_deliveries(1.0) is None
+        assert queue.peek_time() is None  # the heap is empty
+
+    def test_invalid_delivery_times_rejected(self):
+        queue = EventQueue()
+        for bad in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(SimulationError):
+                queue.push_deliveries([bad], [EXCHANGE], [0], [1])
+
+
 class TestNetworkModelValidation:
     def test_ideal_is_ideal(self):
         assert NetworkModel.ideal().is_ideal
@@ -100,13 +147,41 @@ class TestNetworkModelValidation:
         with pytest.raises(ConfigurationError):
             NetworkModel(**bad)
 
+    @pytest.mark.parametrize(
+        "model,expected",
+        [
+            (
+                NetworkModel(
+                    latency_kind="uniform", latency_mean=0.3, latency_jitter=0.5
+                ),
+                lambda rng: float(rng.uniform(0.0, 0.8)),
+            ),
+            (
+                NetworkModel(latency_kind="exponential", latency_mean=0.4),
+                lambda rng: float(rng.exponential(0.4)),
+            ),
+            (
+                NetworkModel(latency_kind="exponential", latency_mean=0.0),
+                lambda rng: 0.0,
+            ),
+        ],
+        ids=["uniform", "exponential", "exponential-zero"],
+    )
+    def test_sampler_makes_one_draw_per_call(self, model, expected):
+        reference, stream = np.random.default_rng(8), np.random.default_rng(8)
+        draw = model.latency_sampler(stream)
+        assert [draw() for _ in range(50)] == [
+            expected(reference) for _ in range(50)
+        ]
+        assert stream.random() == reference.random()  # same stream position
+
     def test_fixed_latency_draws_nothing(self):
         class ExplodingRng:
             def __getattr__(self, name):
                 raise AssertionError("fixed latency must not draw")
 
         model = NetworkModel(latency_kind="fixed", latency_mean=0.25)
-        assert model.sample_latency(ExplodingRng()) == 0.25
+        assert model.latency_sampler(ExplodingRng())() == 0.25
 
 
 class TestLossRateEdges:

@@ -3,11 +3,12 @@
 Four invariants introduced by the scale work, each pinned so it cannot
 silently erode:
 
-* **Batched-only execution** — on the words backend's sharded schedule
-  every figure-1/2/3 cell class (attacker, evicted, capped, defended)
-  runs through the batched word sweeps; the per-node scalar methods
-  are a parity oracle only.  Asserted by making them raise and
-  checking the trace is unchanged.
+* **Batched-only execution** — on the words backend every figure-1/2/3
+  cell class (attacker, evicted, capped, defended) runs through the
+  batched word sweeps, on the sharded cell schedule, the classic rounds
+  schedule and the event schedule (the last two as dependency waves);
+  the per-node scalar methods are a parity oracle only.  Asserted by
+  making them raise and checking the trace is unchanged.
 * **Exact capped truncation** — the vectorized top/bottom-k masked
   word sweep equals the per-row arbitrary-precision oracle bit for
   bit, including boundary-word rank ties.
@@ -32,6 +33,7 @@ from repro.bargossip.defenses import (
     figure3_variants,
     with_larger_pushes,
 )
+from repro.bargossip.network import NetworkModel
 from repro.bargossip.scenario import ExecutionConfig
 from repro.bargossip.simulator import GossipSimulator, InteractionEngine
 from repro.bargossip.updates import (
@@ -136,6 +138,9 @@ class TestBatchedHotPath:
             InteractionEngine, "_push_directed", _banned("_push_directed")
         )
         monkeypatch.setattr(
+            InteractionEngine, "interact_exchange", _banned("interact_exchange")
+        )
+        monkeypatch.setattr(
             AttackerCoalition, "dump_for", _banned("dump_for")
         )
 
@@ -149,6 +154,46 @@ class TestBatchedHotPath:
         self._ban(monkeypatch)
         batched = _snapshot(_run(config, kind, self.WORDS, **kwargs))
         assert batched == reference
+
+    #: The paper's classic rounds schedule and the event schedule (ideal
+    #: and churned networks) on words: both run as dependency waves.
+    WAVE_SCHEDULES = [
+        ("classic", {}),
+        ("event-ideal", {"schedule": "event"}),
+        (
+            "event-churn",
+            {
+                "schedule": "event",
+                "network": NetworkModel(
+                    latency_kind="exponential",
+                    latency_mean=0.3,
+                    loss_rate=0.05,
+                    churn_leave_rate=0.01,
+                    churn_join_rate=0.2,
+                ),
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "schedule,schedule_kwargs",
+        WAVE_SCHEDULES,
+        ids=[schedule[0] for schedule in WAVE_SCHEDULES],
+    )
+    @pytest.mark.parametrize(
+        "name,config,kind,kwargs",
+        SCENARIOS,
+        ids=[scenario[0] for scenario in SCENARIOS],
+    )
+    def test_no_scalar_fallback_in_waves(
+        self, monkeypatch, name, config, kind, kwargs, schedule, schedule_kwargs
+    ):
+        words = ExecutionConfig(backend="words")
+        kwargs = {**kwargs, **schedule_kwargs}
+        reference = _snapshot(_run(config, kind, words, **kwargs))
+        self._ban(monkeypatch)
+        waves = _snapshot(_run(config, kind, words, **kwargs))
+        assert waves == reference
 
     def test_mass_eviction_scenario_actually_evicts(self):
         _, config, kind, kwargs = next(
@@ -296,6 +341,7 @@ class TestRingBudget:
 #: oracles and the rare report-filing path, banned here.
 HOT_PATH_FUNCTIONS = {
     "src/repro/bargossip/simulator.py": (
+        "InteractionEngine.run_waves",
         "InteractionEngine.run_exchanges_batched",
         "InteractionEngine.run_pushes_batched",
         "InteractionEngine._split_cell_pairs",
@@ -307,11 +353,14 @@ HOT_PATH_FUNCTIONS = {
         "GossipSimulator._attack_out_of_band",
         "GossipSimulator._expire_bitset",
         "GossipSimulator._broadcast",
+        "GossipSimulator._sample_delivery_times",
+        "dependency_waves",
     ),
     "src/repro/bargossip/updates.py": (
         "truncate_word_rows",
         "WordPopulationStore.advance_to",
         "WordPopulationStore.masked_have_popcounts",
+        "WordPopulationStore.holder_counts",
         "WordPopulationStore.clear_mask",
         "WordPopulationStore.seed",
         "WordPopulationStore.mask_words",

@@ -43,8 +43,17 @@ class TestExecutionConfig:
         with pytest.raises(ConfigurationError, match="unknown ExecutionConfig"):
             ExecutionConfig.from_dict({"backend": "sets", "n_nodes": 60})
 
-    def test_fingerprint_empty_by_design(self):
-        assert ExecutionConfig(backend="words", shards=8).cache_fingerprint() == {}
+    def test_fingerprint_names_the_pairing(self):
+        # shards picks the partner schedule, which changes results; the
+        # rest of the execution strategy does not.
+        assert ExecutionConfig().cache_fingerprint() == {"pairing": "classic"}
+        assert ExecutionConfig(
+            backend="words", memory="shared", shards=8, jobs=4
+        ).cache_fingerprint() == {"pairing": "cells"}
+        assert (
+            ExecutionConfig(backend="bitset", jobs=2).cache_fingerprint()
+            == ExecutionConfig().cache_fingerprint()
+        )
 
     @pytest.mark.parametrize(
         "bad",
@@ -205,10 +214,10 @@ class TestDeprecatedShim:
 class TestCacheSchemaBump:
     """Scenario-keyed fingerprints are a new cache key universe."""
 
-    def test_schema_version_is_4(self):
+    def test_schema_version_is_5(self):
         from repro.harness.cache import CACHE_SCHEMA_VERSION
 
-        assert CACHE_SCHEMA_VERSION == 4
+        assert CACHE_SCHEMA_VERSION == 5
 
     def test_schema_version_changes_cell_keys(self, monkeypatch):
         # Entries written by the pre-Scenario code (schema 3 keys over

@@ -204,6 +204,20 @@ class TestWordPopulationStore:
             assert bitset.have_bits[node] == words.have_bits[node]
             assert bitset.missing_bits[node] == words.missing_bits[node]
 
+    @pytest.mark.parametrize("round_now", [0, 7, 13])
+    def test_holder_counts_match_per_update_popcounts(self, round_now):
+        # One bit-column pass equals a masked popcount per update, on a
+        # ring offset that is 0 and that is not.
+        _, words = self._mirror(n=40, seed=round_now)
+        words.advance_to(round_now)
+        rows = np.random.default_rng(round_now).random(40) < 0.6
+        updates = list(range(words.base, words.base + words.capacity, 3))
+        expected = [
+            int(words.masked_have_popcounts(words.mask_of([update]))[rows].sum())
+            for update in updates
+        ]
+        assert words.holder_counts(updates, rows).tolist() == expected
+
     def test_row_views_round_trip(self):
         store = WordPopulationStore(3, 10, 10)
         store.have_bits[1] = (1 << 70) | 5

@@ -115,7 +115,7 @@ class TestTaskContracts:
         assert base.cache_fingerprint() != other.cache_fingerprint()
 
     def test_fingerprint_ignores_execution_strategy(self):
-        # Execution never changes results, so cells cached on one
+        # The backend never changes results, so cells cached on one
         # backend must be served on every other.
         scenario = Scenario(
             config=GossipConfig.small(), kind=AttackKind.TRADE, rounds=5
@@ -125,6 +125,22 @@ class TestTaskContracts:
             scenario=scenario, execution=ExecutionConfig(backend="bitset")
         )
         assert sets_task.cache_fingerprint() == bitset_task.cache_fingerprint()
+
+    def test_fingerprint_separates_partner_schedules(self):
+        # shards=0 runs the classic pairing, shards>=1 the four-node
+        # cells: different physics, so the two must never share cache
+        # cells — while every cell-schedule shard count must.
+        scenario = Scenario(
+            config=GossipConfig.small(), kind=AttackKind.TRADE, rounds=5
+        )
+
+        def task(shards):
+            return GossipSweepTask(
+                scenario=scenario, execution=ExecutionConfig(shards=shards)
+            )
+
+        assert task(0).cache_fingerprint() != task(4).cache_fingerprint()
+        assert task(1).cache_fingerprint() == task(4).cache_fingerprint()
 
     def test_fingerprint_distinguishes_network_and_schedule(self):
         from repro.bargossip.network import NetworkModel
