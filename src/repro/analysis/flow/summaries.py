@@ -140,16 +140,24 @@ def _buffer_chain(expr: ast.expr, buffer_attrs: Tuple[str, ...]) -> Optional[Lis
 #: (fancy indexing, arithmetic, ``.copy()``, reductions) produces a new
 #: array, which is private until written back.
 _VIEW_METHODS = ("reshape", "view", "ravel", "squeeze", "transpose")
+#: Functions returning a view of their first argument
+#: (``row_items(plane)`` is ``plane`` as whole-row items).
+_VIEW_FUNCTIONS = ("row_items",)
 
 
 def _strip_views(expr: ast.expr) -> ast.expr:
-    """Peel ``.reshape(...)`` / ``.view(...)`` wrappers off a chain."""
-    while (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in _VIEW_METHODS
-    ):
-        expr = expr.func.value
+    """Peel ``.reshape(...)`` / ``.view(...)`` / ``row_items(...)`` wrappers off a chain."""
+    while isinstance(expr, ast.Call):
+        if isinstance(expr.func, ast.Attribute) and expr.func.attr in _VIEW_METHODS:
+            expr = expr.func.value
+        elif (
+            isinstance(expr.func, ast.Name)
+            and expr.func.id in _VIEW_FUNCTIONS
+            and expr.args
+        ):
+            expr = expr.args[0]
+        else:
+            break
     return expr
 
 

@@ -30,6 +30,7 @@ from .updates import (
     WordPopulationStore,
     bottom_bits,
     popcount,
+    row_items,
     top_bits,
     truncate_word_rows,
     word_popcounts,
@@ -223,10 +224,10 @@ def batched_word_exchange(
     rows_r = np.asarray(responders, dtype=np.intp)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = have[rows_i]
-    have_r = have[rows_r]
-    miss_i = missing[rows_i]
-    miss_r = missing[rows_r]
+    have_i = have.take(rows_i, axis=0)
+    have_r = have.take(rows_r, axis=0)
+    miss_i = missing.take(rows_i, axis=0)
+    miss_r = missing.take(rows_r, axis=0)
     available_to_initiator = have_r & miss_i
     available_to_responder = have_i & miss_r
     n_initiator = word_popcounts(available_to_initiator)
@@ -241,20 +242,28 @@ def batched_word_exchange(
     else:
         count_initiator = base
         count_responder = base.copy()
-    selected_initiator = available_to_initiator.copy()
-    selected_responder = available_to_responder.copy()
+    # Only rows that gain an update are selected and written back:
+    # rewriting an unchanged row is a no-op, and most exchanges move
+    # nothing.
+    gain_i = np.flatnonzero(count_initiator)
+    gain_r = np.flatnonzero(count_responder)
+    selected_initiator = available_to_initiator.take(gain_i, axis=0)
+    selected_responder = available_to_responder.take(gain_r, axis=0)
     truncate_word_rows(
-        selected_initiator, available_to_initiator,
-        count_initiator, n_initiator, prefer_newest,
+        selected_initiator, selected_initiator,
+        count_initiator[gain_i], n_initiator[gain_i], prefer_newest,
     )
     truncate_word_rows(
-        selected_responder, available_to_responder,
-        count_responder, n_responder, prefer_newest,
+        selected_responder, selected_responder,
+        count_responder[gain_r], n_responder[gain_r], prefer_newest,
     )
-    have[rows_i] = have_i | selected_initiator
-    missing[rows_i] = miss_i & ~selected_initiator
-    have[rows_r] = have_r | selected_responder
-    missing[rows_r] = miss_r & ~selected_responder
+    rows_i, rows_r = rows_i[gain_i], rows_r[gain_r]
+    have_i, miss_i = have_i.take(gain_i, axis=0), miss_i.take(gain_i, axis=0)
+    have_r, miss_r = have_r.take(gain_r, axis=0), miss_r.take(gain_r, axis=0)
+    row_items(have)[rows_i] = row_items(have_i | selected_initiator)
+    row_items(missing)[rows_i] = row_items(miss_i & ~selected_initiator)
+    row_items(have)[rows_r] = row_items(have_r | selected_responder)
+    row_items(missing)[rows_r] = row_items(miss_r & ~selected_responder)
     return count_initiator, count_responder
 
 
@@ -296,12 +305,13 @@ def batched_word_dump(
     and the selected word rows (the report path materializes id tuples
     only for the few rows the reporting policy flags).
     """
+    have = pool.have_words
     missing = pool.missing_words
-    give = missing[receivers] & pool_words[None, :]
-    n_give = word_popcounts(give)
+    miss = missing.take(receivers, axis=0)
+    selected = miss & pool_words[None, :]
+    n_give = word_popcounts(selected)
     counts = np.minimum(n_give, limits)
-    selected = give.copy()
-    truncate_word_rows(selected, give, counts, n_give, prefer_newest=False)
-    pool.have_words[receivers] |= selected
-    missing[receivers] = missing[receivers] & ~selected
+    truncate_word_rows(selected, selected, counts, n_give, prefer_newest=False)
+    row_items(have)[receivers] = row_items(have.take(receivers, axis=0) | selected)
+    row_items(missing)[receivers] = row_items(miss & ~selected)
     return counts, selected

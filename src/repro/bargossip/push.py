@@ -41,6 +41,7 @@ from .updates import (
     WordPopulationStore,
     bottom_bits,
     popcount,
+    row_items,
     truncate_word_rows,
     word_popcounts,
 )
@@ -197,10 +198,10 @@ def batched_push_eligibility(
     """
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
     old_words = pool.mask_words(old_mask)
-    wants = (pool.missing_words[rows] & old_words).any(axis=1)
+    wants = (pool.missing_words.take(rows, axis=0) & old_words).any(axis=1)
     if obedient.any():
         recent_words = pool.mask_words(recent_mask)
-        has_offers = (pool.have_words[rows] & recent_words).any(axis=1)
+        has_offers = (pool.have_words.take(rows, axis=0) & recent_words).any(axis=1)
         wants |= obedient & has_offers
     return wants
 
@@ -274,28 +275,33 @@ def batched_word_push(
     old = pool.mask_words(old_mask)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = have[rows_i]
-    have_r = have[rows_r]
-    miss_i = missing[rows_i]
-    miss_r = missing[rows_r]
+    have_i = have.take(rows_i, axis=0)
+    miss_r = missing.take(rows_r, axis=0)
     wanted = have_i & miss_r & recent
     n_wanted = word_popcounts(wanted)
     responder_counts = np.minimum(n_wanted, config.push_size)
-    to_responder = wanted.copy()
+    # Only pairs whose responder gains an update move anything (the
+    # initiator is paid at most what it gives), so only their rows are
+    # gathered further, selected and written back.
+    moved = np.flatnonzero(responder_counts)
+    rows_i, rows_r = rows_i[moved], rows_r[moved]
+    to_responder = wanted.take(moved, axis=0)
     truncate_word_rows(
-        to_responder, wanted, responder_counts, n_wanted, prefer_newest=False
+        to_responder, to_responder,
+        responder_counts[moved], n_wanted[moved], prefer_newest=False,
     )
-    payable = miss_i & have_r & old
-    n_payable = word_popcounts(payable)
-    initiator_counts = np.minimum(n_payable, responder_counts)
-    to_initiator = payable.copy()
-    truncate_word_rows(
-        to_initiator, payable, initiator_counts, n_payable, prefer_newest=False
-    )
-    have[rows_r] = have_r | to_responder
-    missing[rows_r] = miss_r & ~to_responder
-    have[rows_i] = have_i | to_initiator
-    missing[rows_i] = miss_i & ~to_initiator
+    miss_i = missing.take(rows_i, axis=0)
+    have_r = have.take(rows_r, axis=0)
+    to_initiator = miss_i & have_r & old
+    n_payable = word_popcounts(to_initiator)
+    paid = np.minimum(n_payable, responder_counts[moved])
+    truncate_word_rows(to_initiator, to_initiator, paid, n_payable, prefer_newest=False)
+    initiator_counts = np.zeros_like(responder_counts)
+    initiator_counts[moved] = paid
+    row_items(have)[rows_r] = row_items(have_r | to_responder)
+    row_items(missing)[rows_r] = row_items(miss_r.take(moved, axis=0) & ~to_responder)
+    row_items(have)[rows_i] = row_items(have_i.take(moved, axis=0) | to_initiator)
+    row_items(missing)[rows_i] = row_items(miss_i & ~to_initiator)
     return responder_counts, initiator_counts
 
 

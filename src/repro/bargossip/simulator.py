@@ -90,6 +90,7 @@ from .updates import (
     WordPopulationStore,
     creation_round,
     iter_bits,
+    row_items,
     word_popcounts,
     words_to_int,
 )
@@ -2003,10 +2004,12 @@ class GossipSimulator(RoundSimulator):
             if not len(rows):
                 return
             mask = self.attack.pool_mask(pool.base, pool.capacity)
-            give = pool.missing_words[rows] & pool.mask_words(mask)[None, :]
+            have, missing = pool.have_words, pool.missing_words
+            miss = missing.take(rows, axis=0)
+            give = miss & pool.mask_words(mask)[None, :]
             counts = word_popcounts(give)
-            pool.have_words[rows] |= give
-            pool.missing_words[rows] = pool.missing_words[rows] & ~give
+            row_items(have)[rows] = row_items(have.take(rows, axis=0) | give)
+            row_items(missing)[rows] = row_items(miss & ~give)
             self.attack.updates_served += int(counts.sum())
             gained = counts > 0
             self.population.counters[rows[gained], CI_UPDATES_RECEIVED] += counts[

@@ -65,6 +65,7 @@ __all__ = [
     "word_popcounts",
     "word_popcount_matrix",
     "truncate_word_rows",
+    "row_items",
     "shared_memory_available",
     "WORD_BITS",
 ]
@@ -530,6 +531,39 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         )
 
 
+def row_items(plane: "np.ndarray") -> "np.ndarray":
+    """A C-contiguous ``(n, words)`` word plane as ``n`` whole-row items.
+
+    Each row becomes one fixed-size ``void`` item of the same bytes, so
+    a fancy index over the result gathers or scatters whole rows as
+    single items instead of walking a 2-D ``(rows, words)`` index.  The
+    result is a view: ``row_items(plane)[rows] = row_items(block)``
+    writes ``block``'s rows into ``plane`` in place.
+    """
+    if not plane.flags.c_contiguous:
+        raise ValueError("row_items needs a C-contiguous word plane")
+    item = np.dtype((np.void, plane.itemsize * plane.shape[1]))
+    return plane.view(item).reshape(-1)
+
+
+#: Set bits of each octet value.
+_OCTET_POPCOUNTS = np.array(
+    [_python_popcount(value) for value in range(256)], dtype=np.uint8
+)
+#: ``_OCTET_BOTTOM_BITS[v, k] == bottom_bits(v, k)`` and
+#: ``_OCTET_TOP_BITS[v, k] == top_bits(v, k)`` for every octet ``v`` and
+#: ``0 <= k <= 8``: the in-octet selection step of
+#: :func:`truncate_word_rows`, built once at import.
+_OCTET_BOTTOM_BITS = np.array(
+    [[bottom_bits(value, k) for k in range(9)] for value in range(256)],
+    dtype=np.uint8,
+)
+_OCTET_TOP_BITS = np.array(
+    [[top_bits(value, k) for k in range(9)] for value in range(256)],
+    dtype=np.uint8,
+)
+
+
 def truncate_word_rows(
     selected: "np.ndarray",
     available: "np.ndarray",
@@ -540,55 +574,68 @@ def truncate_word_rows(
     """Overwrite ``selected`` rows whose transfer count is capped.
 
     The batched planners start from ``selected = available`` (the
-    common full-take case costs nothing); every row whose count falls
+    common full-take case costs nothing; ``selected`` may be
+    ``available`` itself, truncated in place); every row whose count falls
     short of its availability is re-picked with the exact top-k /
-    bottom-k set-bit rule as one masked word sweep.  Per-word
-    popcounts locate each capped row's *boundary word* — the word the
-    k-th chosen bit lands in — in a single cumulative-sum pass; words
-    strictly inside the kept side survive whole, words on the dropped
-    side zero out, and the boundary words themselves split bit-by-bit
-    through one ``unpackbits``/``cumsum``/``packbits`` pass over all
-    capped rows at once.  Selection stays bit-identical to
-    :func:`top_bits` / :func:`bottom_bits` (pinned by the parity tests
-    against :func:`_truncate_word_rows_scalar`).
+    bottom-k set-bit rule in two steps over all capped rows at once:
+
+    * *word level* — per-word popcounts, accumulated from the kept end
+      (low words for bottom-k, high words for top-k), give each word
+      its take ``clip(count - bits_before_word, 0, popcount)``.  Words
+      taken whole are kept, words taken not at all are zeroed;
+    * *boundary words only* — the at most one word per row with
+      ``0 < take < popcount`` is split as 8 octets, each resolved by
+      the same rule one level down through a 256 × 9 lowest-k /
+      highest-k octet table.
+
+    Capped rows are gathered with ``take`` and written back as
+    whole-row items (:func:`row_items`).  Selection stays bit-identical
+    to :func:`top_bits` / :func:`bottom_bits` (pinned against
+    :func:`_truncate_word_rows_scalar`).
     """
     rows = np.flatnonzero(counts < n_available)
     if not len(rows):
         return
-    avail = available[rows]
-    need = np.asarray(counts, dtype=np.int64)[rows]
-    n_words = avail.shape[1]
+    avail = available.take(rows, axis=0)
+    need = np.asarray(counts, dtype=np.int64)[rows, None]
     per_word = word_popcount_matrix(avail)
-    idx = np.arange(len(rows))
+    # Set bits up to and including each word, counted from the kept end.
     if prefer_newest:
-        # suffix[:, j] = set bits at word j and above; non-increasing
-        # in j, so the boundary is the last word whose suffix still
-        # reaches the target (argmax of the reversed True-prefix).
-        suffix = per_word[:, ::-1].cumsum(axis=1)[:, ::-1]
-        boundary = n_words - 1 - np.argmax(
-            (suffix >= need[:, None])[:, ::-1], axis=1
+        through = per_word[:, ::-1].cumsum(axis=1)[:, ::-1]
+    else:
+        through = per_word.cumsum(axis=1)
+    kept = avail * (through <= need)
+    before = through - per_word
+    boundary = np.flatnonzero((through > need) & (before < need))
+    if len(boundary):
+        owed = need[boundary // avail.shape[1], 0] - before.reshape(-1)[boundary]
+        kept.reshape(-1)[boundary] = _split_words(
+            avail.reshape(-1)[boundary], owed, prefer_newest
         )
-        outside = suffix[idx, boundary] - per_word[idx, boundary]
-        full = np.arange(n_words)[None, :] > boundary[:, None]
-    else:
-        prefix = per_word.cumsum(axis=1)
-        boundary = np.argmax(prefix >= need[:, None], axis=1)
-        outside = prefix[idx, boundary] - per_word[idx, boundary]
-        full = np.arange(n_words)[None, :] < boundary[:, None]
-    # Bits still owed once every fully-kept word is taken; resolved
-    # inside the boundary word (0 <= owed <= popcount(boundary word)).
-    owed = need - outside
-    result = avail * full
-    octets = avail[idx, boundary].reshape(-1, 1).view(np.uint8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    row_items(selected)[rows] = row_items(kept)
+
+
+def _split_words(
+    words: "np.ndarray", owed: "np.ndarray", prefer_newest: bool
+) -> "np.ndarray":
+    """The ``owed[k]`` highest (or lowest) set bits of each ``words[k]``.
+
+    The word-level rule of :func:`truncate_word_rows` one level down:
+    each word's 8 octets take ``clip(owed - bits_before_octet, 0,
+    popcount)`` bits, looked up in the octet tables.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    per_octet = _OCTET_POPCOUNTS[octets]
     if prefer_newest:
-        rank = bits[:, ::-1].cumsum(axis=1)[:, ::-1]
+        through = per_octet[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1]
+        table = _OCTET_TOP_BITS
     else:
-        rank = bits.cumsum(axis=1)
-    keep = bits & (rank <= owed[:, None])
-    packed = np.packbits(keep, axis=1, bitorder="little")
-    result[idx, boundary] = packed.view(np.uint64).ravel()
-    selected[rows] = result
+        through = per_octet.cumsum(axis=1, dtype=np.int16)
+        table = _OCTET_BOTTOM_BITS
+    take = owed.astype(np.int16)[:, None] - (through - per_octet)
+    np.clip(take, 0, per_octet, out=take)
+    picked = table.reshape(-1)[octets.astype(np.int16) * 9 + take]
+    return picked.view("<u8").reshape(-1)
 
 
 def _truncate_word_rows_scalar(

@@ -48,6 +48,23 @@ class TestFLW010Fixtures:
         }
         assert rules_fired(sources) == []
 
+    def test_whole_row_item_write_fires_unless_guarded(self):
+        unguarded = {
+            "src/repro/shardfix.py": """
+            def run_shard(pool, block):
+                have = pool.have_words
+                row_items(have)[7] = row_items(block)
+            """
+        }
+        assert rules_fired(unguarded) == ["FLW010"]
+        guarded = {
+            "src/repro/shardfix.py": """
+            def run_shard(pool, rows, block):
+                row_items(pool.have_words)[rows] = row_items(block)
+            """
+        }
+        assert rules_fired(guarded) == []
+
     def test_local_factory_store_is_exempt(self):
         sources = {
             "src/repro/shardfix.py": """
@@ -417,6 +434,19 @@ class TestSeededMutations:
         assert fired, "removing the row guard must surface FLW010"
         assert all(rule == "FLW010" for rule, _, _ in fired)
         assert all(path == "src/repro/bargossip/simulator.py" for _, path, _ in fired)
+
+    def test_flw010_unguarded_whole_row_write(self, tree_sources):
+        exc = tree_sources["src/repro/bargossip/exchange.py"]
+        needle = "row_items(have)[rows_i] = row_items(have_i | selected_initiator)"
+        assert needle in exc
+        mutated = dict(tree_sources)
+        mutated["src/repro/bargossip/exchange.py"] = exc.replace(
+            needle, "row_items(have)[7] = row_items(have_i | selected_initiator)"
+        )
+        fired = tree_findings(mutated)
+        assert fired, "an unguarded whole-row scatter must surface FLW010"
+        assert all(rule == "FLW010" for rule, _, _ in fired)
+        assert all(path == "src/repro/bargossip/exchange.py" for _, path, _ in fired)
 
     def test_flw011_net_rng_routed_into_exchange(self, tree_sources):
         sim = tree_sources["src/repro/bargossip/simulator.py"]

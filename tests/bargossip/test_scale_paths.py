@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.bargossip.attacker import AttackerCoalition, AttackKind
 from repro.bargossip.config import GossipConfig
@@ -37,8 +38,16 @@ from repro.bargossip.network import NetworkModel
 from repro.bargossip.scenario import ExecutionConfig
 from repro.bargossip.simulator import GossipSimulator, InteractionEngine
 from repro.bargossip.updates import (
+    _OCTET_BOTTOM_BITS,
+    _OCTET_POPCOUNTS,
+    _OCTET_TOP_BITS,
     WordPopulationStore,
     _truncate_word_rows_scalar,
+    bottom_bits,
+    int_to_words,
+    popcount,
+    row_items,
+    top_bits,
     truncate_word_rows,
     word_popcounts,
 )
@@ -246,6 +255,35 @@ class TestChunkedSweepParity:
             ExecutionConfig(backend="words", phase_chunk_pairs=-1)
 
 
+@st.composite
+def _capped_rows(draw):
+    """A block of 1-4-word rows, each from empty to full, with counts.
+
+    Each row is a sparse set of bit positions, its complement, or a
+    uniform draw, so densities span empty to full; some rows put their
+    bits only in the first and last octet of each word, so the cut
+    lands there.
+    """
+    n_words = draw(st.integers(1, 4))
+    width = 64 * n_words
+    n_rows = draw(st.integers(1, 6))
+    rows, counts = [], []
+    for _ in range(n_rows):
+        shape = draw(st.sampled_from(["sparse", "dense", "uniform", "edge-octets"]))
+        positions = draw(st.sets(st.integers(0, width - 1), max_size=24))
+        if shape == "edge-octets":
+            positions = {p for p in positions if p % 64 < 8 or p % 64 >= 56}
+        bits = sum(1 << p for p in positions)
+        if shape == "dense":
+            bits ^= (1 << width) - 1
+        elif shape == "uniform":
+            bits = draw(st.integers(0, (1 << width) - 1))
+        rows.append(bits)
+        counts.append(draw(st.integers(0, popcount(bits))))
+    available = np.stack([int_to_words(bits, n_words) for bits in rows])
+    return available, np.array(counts, dtype=np.int64)
+
+
 class TestTruncateWordRows:
     """Vectorized capped truncation vs the per-row oracle."""
 
@@ -275,6 +313,67 @@ class TestTruncateWordRows:
         assert np.array_equal(vectorized, oracle)
         assert np.array_equal(word_popcounts(vectorized), counts)
         assert not np.any(vectorized & ~available)
+
+    @given(block=_capped_rows(), prefer_newest=st.booleans())
+    def test_matches_scalar_oracle_on_drawn_rows(self, block, prefer_newest):
+        available, counts = block
+        n_available = word_popcounts(available)
+        oracle = available.copy()
+        _truncate_word_rows_scalar(
+            oracle, available, counts, n_available, prefer_newest
+        )
+        selected = available.copy()
+        truncate_word_rows(
+            selected, available, counts, n_available, prefer_newest
+        )
+        assert np.array_equal(selected, oracle)
+        in_place = available.copy()
+        truncate_word_rows(
+            in_place, in_place, counts, n_available, prefer_newest
+        )
+        assert np.array_equal(in_place, oracle)
+
+    @pytest.mark.parametrize("prefer_newest", [True, False])
+    def test_cut_inside_first_and_last_octet(self, prefer_newest):
+        # Bits only in octets 0 and 7 of the middle word: every count
+        # short of the popcount cuts inside one of those two octets.
+        bits = (0b10110101 | (0b11010011 << 56)) << 64
+        available = np.stack([int_to_words(bits, 3)] * 9)
+        counts = np.arange(9, dtype=np.int64)
+        n_available = word_popcounts(available)
+        selected = available.copy()
+        truncate_word_rows(
+            selected, available, counts, n_available, prefer_newest
+        )
+        take = top_bits if prefer_newest else bottom_bits
+        for row, count in zip(selected, counts):
+            assert np.array_equal(row, int_to_words(take(bits, int(count)), 3))
+
+    def test_octet_tables_match_the_bit_helpers(self):
+        assert _OCTET_BOTTOM_BITS.shape == _OCTET_TOP_BITS.shape == (256, 9)
+        assert _OCTET_BOTTOM_BITS.dtype == _OCTET_TOP_BITS.dtype == np.uint8
+        for value in range(256):
+            assert _OCTET_POPCOUNTS[value] == popcount(value)
+            for k in range(9):
+                assert _OCTET_BOTTOM_BITS[value, k] == bottom_bits(value, k)
+                assert _OCTET_TOP_BITS[value, k] == top_bits(value, k)
+
+
+class TestRowItems:
+    """Whole-row item views of the word planes."""
+
+    def test_scatter_through_items_writes_the_plane(self):
+        plane = np.zeros((5, 3), dtype=np.uint64)
+        block = np.arange(6, dtype=np.uint64).reshape(2, 3) + 1
+        row_items(plane)[[4, 1]] = row_items(block)
+        assert np.array_equal(plane[4], block[0])
+        assert np.array_equal(plane[1], block[1])
+        assert not plane[[0, 2, 3]].any()
+
+    def test_non_contiguous_plane_rejected(self):
+        plane = np.zeros((4, 6), dtype=np.uint64)
+        with pytest.raises(ValueError):
+            row_items(plane[:, :3])
 
 
 class TestRingBudget:
@@ -358,6 +457,8 @@ HOT_PATH_FUNCTIONS = {
     ),
     "src/repro/bargossip/updates.py": (
         "truncate_word_rows",
+        "_split_words",
+        "row_items",
         "WordPopulationStore.advance_to",
         "WordPopulationStore.masked_have_popcounts",
         "WordPopulationStore.holder_counts",
